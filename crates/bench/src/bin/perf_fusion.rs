@@ -5,15 +5,16 @@
 //!
 //! * **fused ingest** — slot finalization as one
 //!   `accumulate_scale_sum` sweep against the staged
-//!   `accumulate` → `scale` → `sum` sequence it replaces, for **both**
-//!   always-compiled backends (`scalar` and `wide`) side by side;
-//!   gate: fused ≥ 1.3× staged on each backend;
+//!   `accumulate` → `scale` → `sum` sequence it replaces, for the
+//!   baseline-ISA `kernels::scalar` reference and the public
+//!   ISA-dispatched kernels side by side; gate: fused ≥ 1.3× staged on
+//!   each;
 //! * **multi-reference screening** — `PearsonRef::correlate_refs`
 //!   sweeping one DUT `TraceBlock` against 8 cached references against
 //!   the baseline of 8 independent `correlate_rows` calls; gate:
-//!   batched ≥ 1.5× looped on the compiled backend. The underlying
-//!   4-row kernel (`sxy_refs_x4` vs looped `sxy`) is also reported per
-//!   backend.
+//!   batched ≥ 1.5× looped through the dispatched kernels. The
+//!   underlying 4-row kernel (`sxy_refs_x4` vs looped `sxy`) is also
+//!   reported for both.
 //!
 //! Every timed pair is asserted bit-identical before any timing is
 //! reported — fusion is a scheduling change, never a numeric one
@@ -73,8 +74,9 @@ fn median_ns<F: FnMut() -> f64>(reps: usize, mut f: F) -> (f64, f64) {
     (times[times.len() / 2], sink)
 }
 
-/// One always-compiled kernel backend, measurable regardless of which
-/// one the crate's `simd` feature wires into the public wrappers.
+/// One measured entry point of the kernels: the baseline-ISA `scalar`
+/// reference, or the public fronts that run the same bodies in the ISA
+/// instantiation the one-time probe selected.
 #[allow(clippy::type_complexity)]
 struct BackendFns {
     name: &'static str,
@@ -97,17 +99,17 @@ const BACKENDS: [BackendFns; 2] = [
         sxy_refs_x4: kernels::scalar::sxy_refs_x4,
     },
     BackendFns {
-        name: "wide",
-        sum: kernels::wide::sum,
-        accumulate: kernels::wide::accumulate,
-        scale: kernels::wide::scale,
-        accumulate_scale_sum: kernels::wide::accumulate_scale_sum,
-        sxy: kernels::wide::sxy,
-        sxy_refs_x4: kernels::wide::sxy_refs_x4,
+        name: "dispatched",
+        sum: kernels::sum,
+        accumulate: kernels::accumulate,
+        scale: kernels::scale,
+        accumulate_scale_sum: kernels::accumulate_scale_sum,
+        sxy: kernels::sxy,
+        sxy_refs_x4: kernels::sxy_refs_x4,
     },
 ];
 
-/// Measures slot finalization for one backend: staged
+/// Measures slot finalization through one entry point: staged
 /// `accumulate` → `scale` → `sum` versus the fused single sweep, over
 /// `M` accumulator slots. Returns `(staged_ns, fused_ns)`.
 fn bench_fused_ingest(b: &BackendFns, reps: usize) -> (f64, f64) {
@@ -167,7 +169,7 @@ fn bench_fused_ingest(b: &BackendFns, reps: usize) -> (f64, f64) {
     (staged_ns, fused_ns)
 }
 
-/// Measures the 4-row multi-reference kernel for one backend: four
+/// Measures the 4-row multi-reference kernel through one entry point: four
 /// independent `sxy` sweeps versus one `sxy_refs_x4` group sweep.
 /// Returns `(looped_ns, batched_ns)`.
 fn bench_sxy_refs_kernel(b: &BackendFns, reps: usize) -> (f64, f64) {
@@ -213,7 +215,7 @@ fn main() {
 
     let mut gates_ok = true;
 
-    // --- Fused ingest finalization, both backends. ------------------------
+    // --- Fused ingest finalization, both entry points. --------------------
     let mut fused_ingest: Vec<(String, serde_json::Value)> = Vec::new();
     println!("fused ingest finalization (trace_len = {TRACE_LEN}, m = {M} slots):");
     for b in &BACKENDS {
@@ -222,7 +224,7 @@ fn main() {
         let pass = speedup >= FUSED_INGEST_GATE;
         gates_ok &= pass;
         println!(
-            "  [{:<6}] staged {staged_ns:>10.0} ns   fused {fused_ns:>10.0} ns   \
+            "  [{:<10}] staged {staged_ns:>10.0} ns   fused {fused_ns:>10.0} ns   \
              speedup {speedup:>5.2}x   gate >= {FUSED_INGEST_GATE}x  {}",
             b.name,
             if pass { "PASS" } else { "FAIL" }
@@ -240,14 +242,14 @@ fn main() {
         ));
     }
 
-    // --- 4-row multi-reference kernel, both backends. ---------------------
+    // --- 4-row multi-reference kernel, both entry points. -----------------
     let mut sxy_refs: Vec<(String, serde_json::Value)> = Vec::new();
     println!("sxy_refs_x4 kernel (trace_len = {TRACE_LEN}, 4 references):");
     for b in &BACKENDS {
         let (looped_ns, batched_ns) = bench_sxy_refs_kernel(b, reps);
         let speedup = looped_ns / batched_ns;
         println!(
-            "  [{:<6}] looped {looped_ns:>10.0} ns   batched {batched_ns:>10.0} ns   \
+            "  [{:<10}] looped {looped_ns:>10.0} ns   batched {batched_ns:>10.0} ns   \
              speedup {speedup:>5.2}x",
             b.name
         );
@@ -262,7 +264,7 @@ fn main() {
         ));
     }
 
-    // --- Multi-reference screening sweep, compiled backend. ---------------
+    // --- Multi-reference screening sweep, dispatched kernels. -------------
     let references: Vec<Vec<f64>> = (0..REFS)
         .map(|i| series(TRACE_LEN, 700 + i as u64))
         .collect();
@@ -325,10 +327,9 @@ fn main() {
 
     let json = serde_json::json!({
         "experiment": "X13-fusion-dispatch",
-        "backends": ["scalar", "wide"],
+        "backends": ["scalar", "dispatched"],
         "compiled_backend": kernels::backend_name(),
         "dispatch": dispatch,
-        "dispatch_width_lanes": kernels::dispatch::width(),
         "dispatch_isa": kernels::dispatch::isa_name(),
         "config": {
             "trace_len": TRACE_LEN,

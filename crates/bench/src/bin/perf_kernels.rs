@@ -4,10 +4,10 @@
 //!
 //! * raw throughput of the canonical blocked reductions
 //!   (`ipmark_traces::kernels`): `sum`, `dot` and the fused `sxy_syy`
-//!   sweep, in GiB/s of trace data consumed — for **both** always-compiled
-//!   backends (`scalar` and `wide`) side by side in one run, so a
-//!   regression in either is visible regardless of the crate's feature
-//!   selection;
+//!   sweep, in GiB/s of trace data consumed — for the baseline-ISA
+//!   `kernels::scalar` reference and the public ISA-dispatched kernels
+//!   side by side in one run, so the effect of the dispatched instruction
+//!   set (recorded as `dispatch`) is visible in one JSON;
 //! * the batched arena sweep `PearsonRef::correlate_rows` over a
 //!   `TraceBlock` against the baseline of `m` independent per-row
 //!   `correlate` calls — the ISSUE-5 acceptance comparison
@@ -69,10 +69,9 @@ fn gibps(bytes: usize, ns: f64) -> f64 {
     bytes as f64 / (1 << 30) as f64 / (ns * 1e-9)
 }
 
-/// One always-compiled kernel backend, measurable regardless of which one
-/// the crate's `simd` feature wires into the public wrappers — so every
-/// run reports scalar and wide side by side and a regression in either is
-/// visible in one JSON.
+/// One measured entry point of the kernels: the baseline-ISA `scalar`
+/// reference, or the public fronts that run the same bodies in the ISA
+/// instantiation the one-time probe selected.
 #[allow(clippy::type_complexity)]
 struct BackendFns {
     name: &'static str,
@@ -91,11 +90,11 @@ const BACKENDS: [BackendFns; 2] = [
         centered_sum_sq: kernels::scalar::centered_sum_sq,
     },
     BackendFns {
-        name: "wide",
-        sum: kernels::wide::sum,
-        dot: kernels::wide::dot,
-        sxy_syy: kernels::wide::sxy_syy,
-        centered_sum_sq: kernels::wide::centered_sum_sq,
+        name: "dispatched",
+        sum: kernels::sum,
+        dot: kernels::dot,
+        sxy_syy: kernels::sxy_syy,
+        centered_sum_sq: kernels::centered_sum_sq,
     },
 ];
 
@@ -108,7 +107,7 @@ fn main() {
          {reps} repetitions (median reported)"
     );
 
-    // --- Raw kernel throughput over one trace-sized series, both backends. -
+    // --- Raw kernel throughput over one trace-sized series, both fronts. ---
     let x = series(TRACE_LEN, 1);
     let y = series(TRACE_LEN, 2);
     let mx = kernels::sum(&x) / TRACE_LEN as f64;
@@ -204,7 +203,7 @@ fn main() {
 
     let json = serde_json::json!({
         "experiment": "X9-blocked-kernels",
-        "backends": ["scalar", "wide"],
+        "backends": ["scalar", "dispatched"],
         "dispatch": dispatch,
         "config": {
             "trace_len": TRACE_LEN,

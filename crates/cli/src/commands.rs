@@ -252,6 +252,20 @@ fn save_traces(
     Ok(())
 }
 
+/// The report line for a `trc3` write without `--adc`, else nothing. The
+/// default measurement chain has no ADC, so without a code grid every row
+/// of an acquisition falls back to raw f64 and the file comes out larger
+/// than its IPMKTRC2 rendering.
+fn raw_trc3_warning(format: &str, domain: Option<&AdcDomain>) -> &'static str {
+    if format == "trc3" && domain.is_none() {
+        "\nwarning: trc3 without --adc stores rows that are not on an ADC code grid \
+         (every row of an acquisition) as raw f64, so the file can come out larger than \
+         IPMKTRC2 (`--format bin`); pass --adc BITS:VMIN:VMAX to quantize"
+    } else {
+        ""
+    }
+}
+
 fn simulate(args: &Args) -> Result<String, CliError> {
     let spec = parse_ip(args)?;
     let cycles: usize = args.get_or("cycles", DEFAULT_CYCLES)?;
@@ -329,9 +343,10 @@ fn acquire(args: &Args) -> Result<String, CliError> {
     }
     save_traces(&block, out_path, &format, domain.as_ref())?;
     Ok(format!(
-        "acquired {traces} traces x {} samples on {} (die seed {die_seed}) -> {out_path}",
+        "acquired {traces} traces x {} samples on {} (die seed {die_seed}) -> {out_path}{}",
         block.trace_len(),
-        die.device().name()
+        die.device().name(),
+        raw_trc3_warning(&format, domain.as_ref()),
     ))
 }
 
@@ -366,10 +381,11 @@ fn convert(args: &Args) -> Result<String, CliError> {
         f64::INFINITY
     };
     Ok(format!(
-        "converted {} traces x {} samples ({}) -> {out_path}: {in_bytes} -> {out_bytes} bytes ({ratio:.2}x)",
+        "converted {} traces x {} samples ({}) -> {out_path}: {in_bytes} -> {out_bytes} bytes ({ratio:.2}x){}",
         block.len(),
         block.trace_len(),
         block.device(),
+        raw_trc3_warning(&format, domain.as_ref()),
     ))
 }
 
@@ -1193,6 +1209,50 @@ mod tests {
             run(&["convert", "--in", "nope.csv", "--out", &back, "--mapped"]),
             Err(CliError::Usage(_))
         ));
+    }
+
+    #[test]
+    fn trc3_without_adc_warns_that_rows_stay_raw() {
+        let acquire = |out: &str, extra: &[&str]| {
+            let mut argv = vec![
+                "acquire", "--ip", "b", "--traces", "20", "--cycles", "64", "--seed", "7", "--out",
+                out,
+            ];
+            argv.extend_from_slice(extra);
+            run(&argv).unwrap()
+        };
+        let bin = tmp("warn_raw.bin");
+        let raw_trc3 = tmp("warn_raw.trc3");
+        assert!(!acquire(&bin, &[]).contains("warning"));
+        let report = acquire(&raw_trc3, &[]);
+        assert!(report.contains("warning: trc3 without --adc"), "{report}");
+        let bin_bytes = std::fs::metadata(&bin).unwrap().len();
+        let trc3_bytes = std::fs::metadata(&raw_trc3).unwrap().len();
+        assert!(
+            trc3_bytes > bin_bytes,
+            "trc3 {trc3_bytes} vs bin {bin_bytes}"
+        );
+
+        // `--format trc3` on any path warns too; `--adc` silences it.
+        let forced = tmp("warn_forced.dat");
+        assert!(acquire(&forced, &["--format", "trc3"]).contains("warning"));
+        let packed = tmp("warn_packed.trc3");
+        assert!(!acquire(&packed, &["--adc", "12:0.0:40.0"]).contains("warning"));
+
+        let converted = tmp("warn_converted.trc3");
+        let report = run(&["convert", "--in", &bin, "--out", &converted]).unwrap();
+        assert!(report.contains("warning: trc3 without --adc"), "{report}");
+        let report = run(&[
+            "convert",
+            "--in",
+            &bin,
+            "--out",
+            &converted,
+            "--adc",
+            "12:0.0:40.0",
+        ])
+        .unwrap();
+        assert!(!report.contains("warning"), "{report}");
     }
 
     #[test]

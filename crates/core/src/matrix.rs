@@ -23,7 +23,7 @@ use ipmark_traces::{TraceBlock, TraceError, TraceSource};
 use crate::distinguisher::{delta_mean, delta_v, Decision, Distinguisher};
 use crate::error::CoreError;
 use crate::ip::{default_chain, FabricatedDevice, IpSpec, DEFAULT_CYCLES};
-use crate::pipeline::{default_backend, ExecBackend, Plan, Sequential};
+use crate::pipeline::{default_backend, ExecBackend, Plan};
 use crate::verify::{CorrelationParams, CorrelationSet};
 
 /// Everything that defines one verification campaign.
@@ -94,7 +94,8 @@ impl IdentificationMatrix {
     /// out across threads (worker count from `RAYON_NUM_THREADS`, else the
     /// machine). Every die, campaign and cell derives its own seed from
     /// `config.seed`, so the matrix is bit-identical to
-    /// [`IdentificationMatrix::run_seq`] for every thread count.
+    /// [`IdentificationMatrix::run_with_backend`] on
+    /// [`Sequential`](crate::pipeline::Sequential) for every thread count.
     ///
     /// # Errors
     ///
@@ -107,57 +108,20 @@ impl IdentificationMatrix {
         Self::run_with_backend(refd_specs, dut_specs, config, &default_backend())
     }
 
-    /// [`IdentificationMatrix::run`] with an explicit worker pool, for
-    /// callers (and tests) that must not depend on `RAYON_NUM_THREADS`.
+    /// [`IdentificationMatrix::run`] on an explicit execution backend —
+    /// [`Sequential`](crate::pipeline::Sequential) for the index-ordered
+    /// reference, `Pooled::new(pool)` for callers (and tests) that must not
+    /// depend on `RAYON_NUM_THREADS`.
     ///
-    /// The pool governs the acquisition and cell fan-out; the correlation
-    /// process inside each cell still sizes itself from the environment,
-    /// which cannot change the result (every stage is thread-count
-    /// invariant by construction).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`IdentificationMatrix::run`].
-    #[cfg(feature = "parallel")]
-    pub fn run_with_pool(
-        refd_specs: &[IpSpec],
-        dut_specs: &[IpSpec],
-        config: &ExperimentConfig,
-        pool: &ipmark_parallel::Pool,
-    ) -> Result<Self, CoreError> {
-        Self::run_with_backend(
-            refd_specs,
-            dut_specs,
-            config,
-            &crate::pipeline::Pooled::new(*pool),
-        )
-    }
-
-    /// The sequential reference implementation of
-    /// [`IdentificationMatrix::run`]. Compiled unconditionally so
-    /// equivalence tests can compare it against the parallel path in one
-    /// binary.
+    /// The backend only governs the acquisition and cell fan-out, so every
+    /// backend is bit-identical. The correlation process inside each cell
+    /// always runs on the default backend, which cannot change the result
+    /// either — every stage is thread-count invariant by construction.
     ///
     /// # Errors
     ///
     /// Same as [`IdentificationMatrix::run`].
-    pub fn run_seq(
-        refd_specs: &[IpSpec],
-        dut_specs: &[IpSpec],
-        config: &ExperimentConfig,
-    ) -> Result<Self, CoreError> {
-        Self::run_with_backend(refd_specs, dut_specs, config, &Sequential)
-    }
-
-    /// The single campaign body behind [`IdentificationMatrix::run`],
-    /// [`IdentificationMatrix::run_with_pool`] and
-    /// [`IdentificationMatrix::run_seq`]: the backend only governs the
-    /// acquisition and cell fan-out, so every variant is bit-identical.
-    ///
-    /// The correlation process inside each cell always runs on the default
-    /// backend (as the legacy entry points did), which cannot change the
-    /// result — every stage is thread-count invariant by construction.
-    fn run_with_backend<B: ExecBackend + ?Sized>(
+    pub fn run_with_backend<B: ExecBackend + ?Sized>(
         refd_specs: &[IpSpec],
         dut_specs: &[IpSpec],
         config: &ExperimentConfig,
@@ -224,22 +188,13 @@ impl IdentificationMatrix {
         Self::run_shared_with_backend(refd_specs, dut_specs, config, &default_backend())
     }
 
-    /// The sequential reference implementation of
-    /// [`IdentificationMatrix::run_shared`], compiled unconditionally for
-    /// equivalence tests.
+    /// [`IdentificationMatrix::run_shared`] on an explicit execution
+    /// backend; every backend is bit-identical.
     ///
     /// # Errors
     ///
     /// Same as [`IdentificationMatrix::run_shared`].
-    pub fn run_shared_seq(
-        refd_specs: &[IpSpec],
-        dut_specs: &[IpSpec],
-        config: &ExperimentConfig,
-    ) -> Result<Self, CoreError> {
-        Self::run_shared_with_backend(refd_specs, dut_specs, config, &Sequential)
-    }
-
-    fn run_shared_with_backend<B: ExecBackend + ?Sized>(
+    pub fn run_shared_with_backend<B: ExecBackend + ?Sized>(
         refd_specs: &[IpSpec],
         dut_specs: &[IpSpec],
         config: &ExperimentConfig,
@@ -477,6 +432,7 @@ mod tests {
     use super::*;
     use crate::distinguisher::{HigherMean, LowerVariance};
     use crate::ip::{ip_a, ip_b};
+    use crate::pipeline::Sequential;
 
     fn tiny_config() -> ExperimentConfig {
         let mut c = ExperimentConfig::reduced().unwrap();
@@ -529,7 +485,13 @@ mod tests {
     fn run_matches_sequential_reference() {
         let config = tiny_config();
         let par = IdentificationMatrix::run(&[ip_a()], &[ip_a(), ip_b()], &config).unwrap();
-        let seq = IdentificationMatrix::run_seq(&[ip_a()], &[ip_a(), ip_b()], &config).unwrap();
+        let seq = IdentificationMatrix::run_with_backend(
+            &[ip_a()],
+            &[ip_a(), ip_b()],
+            &config,
+            &Sequential,
+        )
+        .unwrap();
         assert_eq!(par, seq);
     }
 
@@ -548,7 +510,9 @@ mod tests {
         assert_eq!(decisions[1].best, 1);
         // Bit-identical to the sequential backend, and deterministic in
         // the seed.
-        let seq = IdentificationMatrix::run_shared_seq(&specs, &specs, &config).unwrap();
+        let seq =
+            IdentificationMatrix::run_shared_with_backend(&specs, &specs, &config, &Sequential)
+                .unwrap();
         assert_eq!(shared, seq);
         let again = IdentificationMatrix::run_shared(&specs, &specs, &config).unwrap();
         assert_eq!(shared, again);

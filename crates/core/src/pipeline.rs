@@ -27,8 +27,8 @@
 //! loop; [`Pooled`] (with the `parallel` feature) partitions it across an
 //! [`ipmark_parallel::Pool`]. Both collect results in index order with the
 //! lowest-index error winning, so every backend — at every thread count,
-//! under either kernel backend (scalar or `simd`) — produces bit-identical
-//! output (DESIGN.md §7/§11). The streaming twin, [`ResumablePlan`], holds
+//! on every kernel ISA instantiation — produces bit-identical output
+//! (DESIGN.md §7/§11). The streaming twin, [`ResumablePlan`], holds
 //! the same stages in incremental form and is chunk-size invariant
 //! (DESIGN.md §9).
 //!

@@ -279,10 +279,10 @@ proptest! {
 
 // --- Blocked reduction kernels (DESIGN.md §11) ----------------------------
 //
-// The two backends (auto-vectorized scalar, explicit-width `wide`) must be
-// bit-identical on *arbitrary* inputs — not just the structured series the
-// unit tests use — and the blocked order must stay numerically close to the
-// naive left-to-right sum it replaced.
+// The public, ISA-dispatched kernels must reproduce the baseline
+// `kernels::scalar` reference bit for bit on *arbitrary* inputs — not just
+// the structured series the unit tests use — and the blocked order must
+// stay numerically close to the naive left-to-right sum it replaced.
 
 use ipmark_traces::kernels;
 
@@ -294,7 +294,7 @@ fn kernel_series() -> impl Strategy<Value = Vec<f64>> {
 
 proptest! {
     #[test]
-    fn scalar_and_wide_backends_are_bit_identical(
+    fn public_kernels_match_the_scalar_reference(
         x in kernel_series(),
         y in kernel_series(),
         m in -1e3f64..1e3,
@@ -302,28 +302,28 @@ proptest! {
     ) {
         prop_assert_eq!(
             kernels::scalar::sum(&x).to_bits(),
-            kernels::wide::sum(&x).to_bits()
+            kernels::sum(&x).to_bits()
         );
         prop_assert_eq!(
             kernels::scalar::dot(&x, &y).to_bits(),
-            kernels::wide::dot(&x, &y).to_bits()
+            kernels::dot(&x, &y).to_bits()
         );
         prop_assert_eq!(
             kernels::scalar::centered_sum_sq(&x, m).to_bits(),
-            kernels::wide::centered_sum_sq(&x, m).to_bits()
+            kernels::centered_sum_sq(&x, m).to_bits()
         );
         let n = x.len().min(y.len());
         let (sxy_s, syy_s) = kernels::scalar::sxy_syy(&x[..n], &y[..n], m);
-        let (sxy_w, syy_w) = kernels::wide::sxy_syy(&x[..n], &y[..n], m);
-        prop_assert_eq!(sxy_s.to_bits(), sxy_w.to_bits());
-        prop_assert_eq!(syy_s.to_bits(), syy_w.to_bits());
+        let (sxy_d, syy_d) = kernels::sxy_syy(&x[..n], &y[..n], m);
+        prop_assert_eq!(sxy_s.to_bits(), sxy_d.to_bits());
+        prop_assert_eq!(syy_s.to_bits(), syy_d.to_bits());
         let mut acc_s = x.clone();
-        let mut acc_w = x.clone();
+        let mut acc_d = x.clone();
         kernels::scalar::accumulate(&mut acc_s[..n], &y[..n]);
-        kernels::wide::accumulate(&mut acc_w[..n], &y[..n]);
+        kernels::accumulate(&mut acc_d[..n], &y[..n]);
         kernels::scalar::scale(&mut acc_s, f);
-        kernels::wide::scale(&mut acc_w, f);
-        for (a, b) in acc_s.iter().zip(&acc_w) {
+        kernels::scale(&mut acc_d, f);
+        for (a, b) in acc_s.iter().zip(&acc_d) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
     }
@@ -380,27 +380,27 @@ proptest! {
     }
 
     #[test]
-    fn fused_kernels_match_their_staged_forms_on_both_backends(
+    fn fused_kernels_match_their_staged_forms(
         x in kernel_series(),
         y in kernel_series(),
         m in -1e3f64..1e3,
         f in -1e3f64..1e3,
     ) {
-        // scale_sum ≡ scale → sum, on both backends, bit for bit —
-        // including the scaled buffer contents.
+        // scale_sum ≡ scale → sum on the reference and the dispatched
+        // front, bit for bit — including the scaled buffer contents.
         let mut staged = x.clone();
         kernels::scalar::scale(&mut staged, f);
         let staged_sum = kernels::scalar::sum(&staged);
         let mut fused_s = x.clone();
         let sum_s = kernels::scalar::scale_sum(&mut fused_s, f);
-        let mut fused_w = x.clone();
-        let sum_w = kernels::wide::scale_sum(&mut fused_w, f);
+        let mut fused_d = x.clone();
+        let sum_d = kernels::scale_sum(&mut fused_d, f);
         prop_assert_eq!(sum_s.to_bits(), staged_sum.to_bits());
-        prop_assert_eq!(sum_w.to_bits(), staged_sum.to_bits());
+        prop_assert_eq!(sum_d.to_bits(), staged_sum.to_bits());
         for (a, b) in fused_s.iter().zip(&staged) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
-        for (a, b) in fused_w.iter().zip(&staged) {
+        for (a, b) in fused_d.iter().zip(&staged) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
 
@@ -413,57 +413,21 @@ proptest! {
         let staged_total = kernels::scalar::sum(&staged_acc);
         let mut fused_acc_s = x.clone();
         let total_s = kernels::scalar::accumulate_scale_sum(&mut fused_acc_s, &y[..n], f);
-        let mut fused_acc_w = x.clone();
-        let total_w = kernels::wide::accumulate_scale_sum(&mut fused_acc_w, &y[..n], f);
+        let mut fused_acc_d = x.clone();
+        let total_d = kernels::accumulate_scale_sum(&mut fused_acc_d, &y[..n], f);
         prop_assert_eq!(total_s.to_bits(), staged_total.to_bits());
-        prop_assert_eq!(total_w.to_bits(), staged_total.to_bits());
+        prop_assert_eq!(total_d.to_bits(), staged_total.to_bits());
         for (a, b) in fused_acc_s.iter().zip(&staged_acc) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
-        for (a, b) in fused_acc_w.iter().zip(&staged_acc) {
+        for (a, b) in fused_acc_d.iter().zip(&staged_acc) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
 
         // sxy alone ≡ the sxy half of the fused pair kernel.
         let (sxy_ref, _) = kernels::scalar::sxy_syy(&x[..n], &y[..n], m);
         prop_assert_eq!(kernels::scalar::sxy(&x[..n], &y[..n], m).to_bits(), sxy_ref.to_bits());
-        prop_assert_eq!(kernels::wide::sxy(&x[..n], &y[..n], m).to_bits(), sxy_ref.to_bits());
-    }
-
-    #[test]
-    fn unrolled_widths_are_bit_identical_on_arbitrary_inputs(
-        x in kernel_series(),
-        y in kernel_series(),
-        f in -1e3f64..1e3,
-    ) {
-        // The width axis of the dispatcher (W16 = G2, W32 = G4 loop
-        // unrolls) must never change a result: every unroll factor folds
-        // into the same single 8-lane accumulator in index order.
-        prop_assert_eq!(kernels::wide::unrolled::sum::<2>(&x).to_bits(), kernels::wide::sum(&x).to_bits());
-        prop_assert_eq!(kernels::wide::unrolled::sum::<4>(&x).to_bits(), kernels::wide::sum(&x).to_bits());
-        let n = x.len().min(y.len());
-        prop_assert_eq!(
-            kernels::wide::unrolled::dot::<2>(&x[..n], &y[..n]).to_bits(),
-            kernels::wide::dot(&x[..n], &y[..n]).to_bits()
-        );
-        prop_assert_eq!(
-            kernels::wide::unrolled::dot::<4>(&x[..n], &y[..n]).to_bits(),
-            kernels::wide::dot(&x[..n], &y[..n]).to_bits()
-        );
-        let baseline_total = {
-            let mut acc = x.clone();
-            kernels::wide::accumulate_scale_sum(&mut acc, &y[..n], f)
-        };
-        let mut acc2 = x.clone();
-        prop_assert_eq!(
-            kernels::wide::unrolled::accumulate_scale_sum::<2>(&mut acc2, &y[..n], f).to_bits(),
-            baseline_total.to_bits()
-        );
-        let mut acc4 = x.clone();
-        prop_assert_eq!(
-            kernels::wide::unrolled::accumulate_scale_sum::<4>(&mut acc4, &y[..n], f).to_bits(),
-            baseline_total.to_bits()
-        );
+        prop_assert_eq!(kernels::sxy(&x[..n], &y[..n], m).to_bits(), sxy_ref.to_bits());
     }
 
     #[test]
@@ -474,11 +438,11 @@ proptest! {
     ) {
         let refs: [&[f64]; 4] = [&centereds[0], &centereds[1], &centereds[2], &centereds[3]];
         let grouped_s = kernels::scalar::sxy_refs_x4(refs, &y, my);
-        let grouped_w = kernels::wide::sxy_refs_x4(refs, &y, my);
+        let grouped_d = kernels::sxy_refs_x4(refs, &y, my);
         for i in 0..4 {
             let single = kernels::scalar::sxy(&centereds[i], &y, my);
             prop_assert_eq!(grouped_s[i].to_bits(), single.to_bits(), "scalar ref {}", i);
-            prop_assert_eq!(grouped_w[i].to_bits(), single.to_bits(), "wide ref {}", i);
+            prop_assert_eq!(grouped_d[i].to_bits(), single.to_bits(), "dispatched ref {}", i);
         }
     }
 

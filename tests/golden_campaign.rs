@@ -2,9 +2,10 @@
 //! 8-cell X10 campaign — every per-cell verdict statistic and every
 //! per-adversary AUC — against `tests/golden/campaign.json`, bit-exactly.
 //!
-//! The same fixture must hold for the scalar and `simd` kernel backends
-//! and for every worker-pool thread count (the CI golden job runs both
-//! backends; the thread sweep is checked inside the test itself).
+//! The same fixture must hold on every kernel ISA instantiation and for
+//! every worker-pool thread count (the CI golden job runs the pooled and
+//! sequential execution backends; the thread sweep is checked inside the
+//! test itself).
 //!
 //! Run with:
 //!

@@ -6,7 +6,7 @@
 
 use ipmark::core::matrix::{ExperimentConfig, IdentificationMatrix};
 use ipmark::core::verify::{correlation_process, correlation_process_seq, CorrelationParams};
-use ipmark::core::CounterfeitScreen;
+use ipmark::core::{CounterfeitScreen, Sequential};
 use ipmark::traces::average::{k_averages, k_averages_seq};
 use ipmark::traces::{Trace, TraceSet};
 use rand::{RngCore, SeedableRng};
@@ -47,7 +47,8 @@ fn matrix_equals_sequential_reference_cell_by_cell() {
     let refs = [ip_a(), ip_b()];
     let duts = [ip_a(), ip_b()];
     let par = IdentificationMatrix::run(&refs, &duts, &config).expect("parallel run");
-    let seq = IdentificationMatrix::run_seq(&refs, &duts, &config).expect("sequential run");
+    let seq = IdentificationMatrix::run_with_backend(&refs, &duts, &config, &Sequential)
+        .expect("sequential run");
     assert_eq!(par.refd_names(), seq.refd_names());
     assert_eq!(par.dut_names(), seq.dut_names());
     for i in 0..refs.len() {
@@ -69,15 +70,17 @@ fn matrix_equals_sequential_reference_cell_by_cell() {
 #[test]
 fn matrix_is_invariant_across_thread_counts() {
     use ipmark::core::ip::{ip_a, ip_b};
+    use ipmark::core::Pooled;
     use ipmark::parallel::Pool;
 
     let config = small_config();
     let refs = [ip_a()];
     let duts = [ip_a(), ip_b()];
-    let baseline = IdentificationMatrix::run_seq(&refs, &duts, &config).expect("sequential");
+    let baseline = IdentificationMatrix::run_with_backend(&refs, &duts, &config, &Sequential)
+        .expect("sequential");
     for threads in [1, 2, 8] {
         let pool = Pool::with_threads(threads);
-        let m = IdentificationMatrix::run_with_pool(&refs, &duts, &config, &pool)
+        let m = IdentificationMatrix::run_with_backend(&refs, &duts, &config, &Pooled::new(pool))
             .expect("parallel run");
         assert_eq!(m, baseline, "threads = {threads}");
     }

@@ -1,9 +1,9 @@
 //! Operator-graph equivalence: every legacy entry point must be
 //! **bit-identical** to the explicit [`Plan`]/[`ExecBackend`] graph it now
-//! shims to — across backends, thread counts and chunk sizes. The
-//! scalar/`simd` kernel axis is swept by the CI golden matrix (the kernel
-//! backend is a compile-time choice), so within one binary these tests pin
-//! the remaining axes.
+//! shims to — across backends, thread counts and chunk sizes. The kernel
+//! ISA is fixed per process by the CPUID probe; the `kernels` unit tests
+//! pin every instantiation the host supports against the scalar reference,
+//! so within one binary these tests pin the remaining axes.
 
 use ipmark::core::verify::{correlation_process, correlation_process_seq, CorrelationParams};
 use ipmark::core::{default_backend, CorrelationSet, Plan, ResumablePlan, Sequential};
@@ -177,16 +177,19 @@ fn matrix_variants_are_bitwise_identical() {
     };
     let refs = [ip_a()];
     let duts = [ip_a(), ip_b()];
-    let baseline = IdentificationMatrix::run_seq(&refs, &duts, &config).expect("sequential");
+    let baseline = IdentificationMatrix::run_with_backend(&refs, &duts, &config, &Sequential)
+        .expect("sequential");
     let default = IdentificationMatrix::run(&refs, &duts, &config).expect("default");
     assert_eq!(default, baseline);
     #[cfg(feature = "parallel")]
     {
+        use ipmark::core::Pooled;
         use ipmark::parallel::Pool;
         for threads in [1, 2, 8] {
             let pool = Pool::with_threads(threads);
-            let m = IdentificationMatrix::run_with_pool(&refs, &duts, &config, &pool)
-                .expect("pooled run");
+            let m =
+                IdentificationMatrix::run_with_backend(&refs, &duts, &config, &Pooled::new(pool))
+                    .expect("pooled run");
             assert_eq!(m, baseline, "threads = {threads}");
         }
     }

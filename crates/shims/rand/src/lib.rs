@@ -68,8 +68,16 @@ impl_standard_int!(
     u8 => next_u32, u16 => next_u32, u32 => next_u32,
     i8 => next_u32, i16 => next_u32, i32 => next_u32,
     u64 => next_u64, i64 => next_u64, usize => next_u64, isize => next_u64,
-    u128 => next_u64, // low word only; the workspace never draws u128
 );
+
+impl Standard for u128 {
+    fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
+        // rand 0.8: two words, low then high.
+        let lo = u128::from(rng.next_u64());
+        let hi = u128::from(rng.next_u64());
+        (hi << 64) | lo
+    }
+}
 
 impl Standard for bool {
     fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
@@ -326,6 +334,16 @@ mod tests {
             let f: f64 = rng.gen();
             assert!((0.0..1.0).contains(&f));
         }
+    }
+
+    #[test]
+    fn standard_u128_draws_low_then_high_word() {
+        let mut words = Counter(13);
+        let (lo, hi) = (words.next_u64(), words.next_u64());
+        let mut rng = Counter(13);
+        let v: u128 = rng.gen();
+        assert_eq!(v, (u128::from(hi) << 64) | u128::from(lo));
+        assert!(v > u128::from(u64::MAX));
     }
 
     #[test]

@@ -36,10 +36,11 @@
 //! ```
 
 #![warn(missing_docs)]
-// `deny` rather than `forbid`: the mmap module is the workspace's single
-// audited unsafe island (raw mmap(2) FFI for zero-copy corpus reads) and
-// carries its own scoped `allow` with per-call safety comments. Everything
-// else still refuses unsafe code at compile time.
+// `deny` rather than `forbid`: two modules carry their own scoped `allow`
+// with per-call safety comments — `mmap` (raw mmap(2) FFI for zero-copy
+// corpus reads) and `kernels::dispatched` (the CPUID-guarded
+// `#[target_feature]` trampolines). Everything else still refuses unsafe
+// code at compile time. DESIGN.md §17 lists the workspace's unsafe islands.
 #![deny(unsafe_code)]
 
 pub mod align;
